@@ -18,6 +18,10 @@
 #     (%.17g), and
 #   * SIGTERM drains the reducer gracefully (exit 0, stats line printed).
 #
+# Before any process starts it also checks that malformed numeric flags
+# (a value too wide for its field, trailing junk) exit 2 with usage instead
+# of being narrowed or truncated.
+#
 # usage: ci/served_demo.sh SERVED_BIN [WORK_DIR]
 #   SERVED_BIN  path to the built castream_served (workers + query + oracle)
 #   WORK_DIR    scratch dir for logs and the port file (default: mktemp -d)
@@ -57,6 +61,20 @@ wait_for_serving() {  # poll until a query round-trips
   done
   fail "reducer on port $PORT never answered a query"
 }
+
+# --- malformed numeric flags are rejected up front -----------------------
+# 4294967296 does not fit the uint32_t shard count and must not be
+# narrowed (to 0, a divide-by-zero); "12abc" must not be read as 12.
+for bad in 4294967296 12abc; do
+  status=0
+  "$BIN" oracle --kind "$KIND" --workers 1 --driver-shards "$bad" \
+    > /dev/null 2> "$DIR/badflag.err" || status=$?
+  [ "$status" -eq 2 ] \
+    || fail "--driver-shards $bad exited $status, expected 2"
+  grep -q "usage:" "$DIR/badflag.err" \
+    || fail "--driver-shards $bad did not print usage"
+done
+echo "malformed numeric flags rejected with usage"
 
 # --- start the reducer (ephemeral port, announced via the port file) -----
 "$REDUCER_BIN" reduce --kind "$KIND" --port-file "$PORT_FILE" --log \

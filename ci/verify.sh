@@ -90,6 +90,21 @@ if [ -n "$MISSING_DEMOS" ]; then
   exit 1
 fi
 
+# Removed-name drift guard: the legacy query forwarders, the old merge-cache
+# alias, and the batch router's sorted-run gate and prefetch chain were
+# deleted because `Query(c, QueryOptions)`/`Summarize` and one plain router
+# cover them. A reappearance means a second entry point or an unmeasured
+# fast path crept back in.
+REMOVED_NAMES=(-e 'SnapshotQuery(' -e 'SnapshotQueryAnswer(' -e 'MergedSummary('
+               -e 'SnapshotSummary(' -e 'SnapshotQueryWindow('
+               -e 'SnapshotQuerySince(' -e 'PrefixMergeCache'
+               -e 'TryEligibleRows' -e 'PrefetchInsert')
+if grep -rnF "${REMOVED_NAMES[@]}" src tests bench examples; then
+  echo "error: removed names reappeared in src/, tests/, bench/ or" \
+       "examples/ (see above)" >&2
+  exit 1
+fi
+
 # Registry drift guard: the set of summary kinds the binaries actually
 # register (as printed by `castream_shardctl kinds`, which walks
 # SummaryRegistry) must match the committed golden fixtures one-for-one.

@@ -45,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "examples/cli_flags.h"
 #include "src/core/any_summary.h"
 #include "src/driver/sharded_driver.h"
 #include "src/hash/hash_family.h"
@@ -122,12 +123,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   args->mode = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&](uint64_t* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtoull(argv[++i], nullptr, 10);
+    // Reads the flag's value strictly into a field of any unsigned width.
+    auto next = [&](auto* out) {
+      if (i + 1 >= argc || !cli::ParseUnsigned(argv[i], argv[i + 1], out)) {
+        return false;
+      }
+      ++i;
       return true;
     };
-    uint64_t v = 0;
     if (flag == "--log") {
       args->log = true;
     } else if (flag == "--kind" && i + 1 < argc) {
@@ -135,17 +138,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--port-file" && i + 1 < argc) {
       args->port_file = argv[++i];
     } else if (flag == "--port") {
-      if (!next(&v) || v > 65535) return false;
-      args->port = static_cast<uint16_t>(v);
+      if (!next(&args->port)) return false;
     } else if (flag == "--workers") {
-      if (!next(&v) || v == 0) return false;
-      args->workers = static_cast<uint32_t>(v);
+      if (!next(&args->workers) || args->workers == 0) return false;
     } else if (flag == "--worker") {
-      if (!next(&v)) return false;
-      args->worker = static_cast<uint32_t>(v);
+      if (!next(&args->worker)) return false;
     } else if (flag == "--driver-shards") {
-      if (!next(&v) || v == 0) return false;
-      args->driver_shards = static_cast<uint32_t>(v);
+      if (!next(&args->driver_shards) || args->driver_shards == 0) {
+        return false;
+      }
     } else if (flag == "--seed") {
       if (!next(&args->summary_seed)) return false;
     } else if (flag == "--stream-seed") {
@@ -162,11 +163,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--throttle-us") {
       if (!next(&args->throttle_us)) return false;
     } else if (flag == "--relay-id") {
-      if (!next(&v)) return false;
-      args->relay_id = static_cast<uint32_t>(v);
+      if (!next(&args->relay_id)) return false;
     } else if (flag == "--listen-port") {
-      if (!next(&v) || v > 65535) return false;
-      args->listen_port = static_cast<uint16_t>(v);
+      if (!next(&args->listen_port)) return false;
     } else if (flag == "--poll-ms") {
       if (!next(&args->poll_ms) || args->poll_ms == 0) return false;
     } else if (flag == "--min-republish-ms") {

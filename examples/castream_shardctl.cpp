@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "examples/cli_flags.h"
 #include "src/core/any_summary.h"
 #include "src/driver/sharded_driver.h"
 #include "src/hash/hash_family.h"
@@ -103,9 +104,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   args->mode = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&](uint64_t* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtoull(argv[++i], nullptr, 10);
+    // Reads the flag's value strictly into a field of any unsigned width.
+    auto next = [&](auto* out) {
+      if (i + 1 >= argc || !cli::ParseUnsigned(argv[i], argv[i + 1], out)) {
+        return false;
+      }
+      ++i;
       return true;
     };
     if (flag == "--verify") {
@@ -115,13 +119,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--out" && i + 1 < argc) {
       args->out = argv[++i];
     } else if (flag == "--shards") {
-      uint64_t v = 0;
-      if (!next(&v) || v == 0) return false;
-      args->shards = static_cast<uint32_t>(v);
+      if (!next(&args->shards) || args->shards == 0) return false;
     } else if (flag == "--shard") {
-      uint64_t v = 0;
-      if (!next(&v)) return false;
-      args->shard = static_cast<uint32_t>(v);
+      if (!next(&args->shard)) return false;
     } else if (flag == "--seed") {
       if (!next(&args->summary_seed)) return false;
     } else if (flag == "--stream-seed") {
@@ -418,7 +418,7 @@ int RunReduce(const Args& args) {
 
 /// \brief In-process serving demo on the unified Summary API: one
 /// ShardedDriver<AnySummary> (any registry kind) ingesting the demo stream
-/// on a writer thread while the main thread polls SnapshotQuery — the
+/// on a writer thread while the main thread polls snapshot-mode Query — the
 /// non-blocking path a live dashboard would use — then a final consistency
 /// check that post-flush snapshot answers equal blocking ones bit-for-bit.
 int RunStats(const Args& args) {
@@ -444,35 +444,39 @@ int RunStats(const Args& args) {
     for (uint64_t i = 0; i < args.count; ++i) writer.Insert(gen.Next());
     writer.Flush();
   });
+  constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
   for (int probe = 0; probe < 5; ++probe) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const auto q = driver.SnapshotQuery(args.y_max);
+    const auto q = driver.Query(args.y_max, kSnapshot);
     std::printf("mid-ingest snapshot estimate %-14.3f (tuples ingested %10"
                 PRIu64 ", merges %" PRIu64 ")\n",
-                q.ok() ? q.value() : -1.0, driver.tuples_processed(),
+                q.ok() ? q.value().estimate : -1.0, driver.tuples_processed(),
                 driver.shard_merges_performed());
   }
   producer.join();
   driver.Flush();
 
   for (uint64_t c : CutoffLadder(args.y_max)) {
-    const auto snapshot = driver.SnapshotQuery(c);
+    const auto snapshot = driver.Query(c, kSnapshot);
     const auto blocking = driver.Query(c);
     if (snapshot.ok() != blocking.ok() ||
-        (snapshot.ok() && snapshot.value() != blocking.value())) {
+        (snapshot.ok() &&
+         snapshot.value().estimate != blocking.value().estimate)) {
       std::fprintf(stderr,
                    "STATS FAILED at cutoff %" PRIu64
                    ": snapshot %s vs blocking %s\n",
                    c,
-                   snapshot.ok() ? std::to_string(snapshot.value()).c_str()
-                                 : "error",
-                   blocking.ok() ? std::to_string(blocking.value()).c_str()
-                                 : "error");
+                   snapshot.ok()
+                       ? std::to_string(snapshot.value().estimate).c_str()
+                       : "error",
+                   blocking.ok()
+                       ? std::to_string(blocking.value().estimate).c_str()
+                       : "error");
       return 1;
     }
     if (snapshot.ok()) {
       std::printf("cutoff %10" PRIu64 "  estimate %.6f (snapshot == "
-                  "blocking)\n", c, snapshot.value());
+                  "blocking)\n", c, snapshot.value().estimate);
     }
   }
   const uint64_t merges_settled = driver.shard_merges_performed();

@@ -133,13 +133,6 @@ class F2HeavyHitterBundle {
     AddCandidate(ph.f2.x);
   }
 
-  /// \brief Warms the cache lines a subsequent Insert(ph, w) will touch;
-  /// purely advisory (see AmsF2Sketch::PrefetchInsert).
-  void PrefetchInsert(const F2HeavyHitterPreHashed& ph) const {
-    f2_.PrefetchInsert(ph.f2);
-    cs_.PrefetchInsert(ph.cs);
-  }
-
   double Estimate() const { return f2_.Estimate(); }
 
   /// \brief Cheap certain upper bound on Estimate() (see AmsF2Sketch); lets

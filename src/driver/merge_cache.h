@@ -270,11 +270,6 @@ class MergeCache {
   std::atomic<uint64_t> merges_{0};
 };
 
-/// \brief Historical name from when the engine was linear-only; the linear
-/// prefix chain lives on as MergePolicy::kLinear.
-template <typename Summary>
-using PrefixMergeCache = MergeCache<Summary>;
-
 }  // namespace castream
 
 #endif  // CASTREAM_DRIVER_MERGE_CACHE_H_

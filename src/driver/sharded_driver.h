@@ -18,10 +18,10 @@
 //          and publishing an epoch-stamped snapshot every K batches
 //         -> query-time merge of the published snapshots.
 //
-// One query entry point — Query(cutoff, QueryOptions) returning
-// QueryAnswer{estimate, epochs} — serves both execution modes through one
-// merge engine (the historical names Query(c) / SnapshotQuery(c) /
-// MergedSummary() / SnapshotSummary() remain as one-line forwarders):
+// Two query entry points — Query(cutoff, QueryOptions) returning
+// QueryAnswer{estimate, epochs}, and Summarize(QueryOptions) returning the
+// merged summary itself — serve both execution modes through one merge
+// engine:
 //
 //   * QueryMode::kBlocking: Flush() first — drain the queues, republish
 //     every changed shard — then merge the snapshots. The answer covers
@@ -78,6 +78,8 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -133,7 +135,8 @@ concept SerializableSummary = ShardableSummary<S> &&
     };
 
 struct ShardedDriverOptions {
-  /// Shard (and ingest thread) count; clamped to >= 1.
+  /// Shard (and ingest thread) count. Every count option here must be
+  /// >= 1: the driver aborts at construction on a zero.
   uint32_t shards = 4;
   /// Tuples buffered per shard before a batch is enqueued. Larger batches
   /// amortize queue synchronization and keep the per-shard trees
@@ -142,9 +145,9 @@ struct ShardedDriverOptions {
   /// Batches buffered per shard queue before writers block (backpressure).
   size_t queue_capacity = 8;
   /// Each shard's ingest thread republishes its snapshot after this many
-  /// batches (clamped to >= 1). The knob trades snapshot staleness against
-  /// publish (deep copy) overhead on the ingest threads: while a shard is
-  /// actively ingesting, SnapshotQuery lags it by at most this many
+  /// batches. The knob trades snapshot staleness against publish (deep
+  /// copy) overhead on the ingest threads: while a shard is actively
+  /// ingesting, a snapshot-mode query lags it by at most this many
   /// batches plus the queue depth, and each publish costs one summary copy
   /// amortized over the interval. A shard that goes *idle* with an
   /// unpublished tail is published by the snapshot query itself (try-lock,
@@ -153,7 +156,7 @@ struct ShardedDriverOptions {
   /// batch that may never come. All snapshot publication (interval, Flush)
   /// is armed by the first snapshot query, so pure-ingest pipelines never
   /// pay for copies nobody reads; the blocking query path republishes on
-  /// its own, so Query/MergedSummary are exact regardless of the cadence
+  /// its own, so blocking-mode answers are exact regardless of the cadence
   /// or arming.
   size_t snapshot_interval_batches = 8;
   /// Seed of the x -> shard hash. All participants of one logical stream
@@ -214,7 +217,7 @@ class ShardedDriver {
  public:
   ShardedDriver(const ShardedDriverOptions& options,
                 std::function<Summary()> make_summary)
-      : options_(Clamp(options)),
+      : options_(Validated(options)),
         make_summary_(std::move(make_summary)),
         // this-capture is stable: the driver is neither copyable nor
         // movable, and the cache member outlives no part of *this.
@@ -384,7 +387,7 @@ class ShardedDriver {
   /// \brief Republishes the snapshot of every shard whose summary changed
   /// since its last publish (no-op, and no epoch bump, for unchanged
   /// shards). Blocks on in-flight ingest batches — the blocking path's
-  /// tool; SnapshotQuery never calls it.
+  /// tool; snapshot-mode queries never call it.
   void PublishSnapshots() {
     for (auto& shard : shards_) PublishShard(*shard);
   }
@@ -422,21 +425,6 @@ class ShardedDriver {
       TryPublishIdleShards(first_call);
     }
     return MergeSnapshots(options.policy, epochs);
-  }
-
-  /// \brief Blocking whole-stream summary, returned by value. Forwards to
-  /// Summarize with the default (blocking, tree) options.
-  Result<Summary> MergedSummary() {
-    CASTREAM_ASSIGN_OR_RETURN(std::shared_ptr<const Summary> merged,
-                              Summarize());
-    return CopyOf(*merged);
-  }
-
-  /// \brief Non-blocking whole-stream summary; forwards to Summarize in
-  /// snapshot mode. A driver with no published snapshots answers as a
-  /// fresh summary (the defined zero-stream state).
-  Result<std::shared_ptr<const Summary>> SnapshotSummary() {
-    return Summarize(QueryOptions{.mode = QueryMode::kSnapshot});
   }
 
  private:
@@ -506,10 +494,9 @@ class ShardedDriver {
   }
 
  public:
-  /// \brief Drops the memoized prefix merges, forcing the next
-  /// SnapshotSummary/MergedSummary to rebuild from scratch. Exists so tests
-  /// can pin "incremental reuse answers == from-scratch answers"; never
-  /// needed for correctness.
+  /// \brief Drops the memoized merges, forcing the next Summarize or Query
+  /// to rebuild from scratch. Exists so tests can pin "incremental reuse
+  /// answers == from-scratch answers"; never needed for correctness.
   void InvalidateSnapshotCache() { merge_cache_.Invalidate(); }
 
   /// \brief Serializes shard s's summary (the versioned wire format of
@@ -560,39 +547,15 @@ class ShardedDriver {
   /// continuous service's ServedAnswer. In kBlocking mode the epochs
   /// simply record the publishes the flush produced; in kSnapshot mode
   /// they are the staleness observable (compare against ShardEpochs() or a
-  /// later answer's vector to see which shards have moved).
-  Result<QueryAnswer> Query(uint64_t c, const QueryOptions& options) {
+  /// later answer's vector to see which shards have moved). A snapshot-mode
+  /// query never waits on the shard queues or ingest threads, so
+  /// backpressured writers and a wedged ingest batch cannot stall it.
+  Result<QueryAnswer> Query(uint64_t c, const QueryOptions& options = {}) {
     QueryAnswer answer;
     CASTREAM_ASSIGN_OR_RETURN(std::shared_ptr<const Summary> merged,
                               Summarize(options, &answer.epochs));
     CASTREAM_ASSIGN_OR_RETURN(answer.estimate, merged->Query(c));
     return answer;
-  }
-
-  /// \brief Blocking convenience point query; thin wrapper over the
-  /// unified Query with default options, dropping the epoch vector.
-  Result<double> Query(uint64_t c) {
-    CASTREAM_ASSIGN_OR_RETURN(QueryAnswer answer, Query(c, QueryOptions{}));
-    return answer.estimate;
-  }
-
-  /// \brief Non-blocking point query over the published snapshots; thin
-  /// wrapper over the unified Query in snapshot mode, dropping the epoch
-  /// vector. Never waits on the shard queues or ingest threads:
-  /// backpressured writers and a wedged ingest batch cannot stall it. The
-  /// answer covers a recent batch-boundary prefix of the stream (see
-  /// Summarize).
-  Result<double> SnapshotQuery(uint64_t c) {
-    CASTREAM_ASSIGN_OR_RETURN(
-        QueryAnswer answer, Query(c, QueryOptions{.mode = QueryMode::kSnapshot}));
-    return answer.estimate;
-  }
-
-  /// \brief Snapshot-mode point query that also reports the per-shard
-  /// epochs the answer covers — SnapshotQuery with the staleness
-  /// provenance attached.
-  Result<QueryAnswer> SnapshotQueryAnswer(uint64_t c) {
-    return Query(c, QueryOptions{.mode = QueryMode::kSnapshot});
   }
 
   /// \brief The shard an item identifier routes to (the partition function;
@@ -658,19 +621,23 @@ class ShardedDriver {
         : summary(std::move(s)), queue(queue_capacity) {}
   };
 
-  static ShardedDriverOptions Clamp(ShardedDriverOptions o) {
-    if (o.shards == 0) o.shards = 1;
-    if (o.batch_size == 0) o.batch_size = 1;
-    if (o.queue_capacity == 0) o.queue_capacity = 1;
-    if (o.snapshot_interval_batches == 0) o.snapshot_interval_batches = 1;
+  /// \brief Aborts on a zero count option, like BoundedQueue(0): a zero is
+  /// always a misconfiguration (no shard to route to, a batch or publish
+  /// interval of nothing, a queue that deadlocks its producers), and a
+  /// silent clamp would hide it.
+  static const ShardedDriverOptions& Validated(const ShardedDriverOptions& o) {
+    const auto require_positive = [](uint64_t v, const char* name) {
+      if (v != 0) return;
+      std::fprintf(stderr, "ShardedDriverOptions: %s must be >= 1 (got 0)\n",
+                   name);
+      std::abort();
+    };
+    require_positive(o.shards, "shards");
+    require_positive(o.batch_size, "batch_size");
+    require_positive(o.queue_capacity, "queue_capacity");
+    require_positive(o.snapshot_interval_batches, "snapshot_interval_batches");
     return o;
   }
-
-  /// \brief Deep copy of a summary: the copy constructor where available,
-  /// otherwise the explicit Clone() (AnySummary). Both are exact — the copy
-  /// is structurally identical, so merges behave as if the original were
-  /// used.
-  static Summary CopyOf(const Summary& s) { return SummaryDeepCopy(s); }
 
   /// \brief Publishes a fresh snapshot of `shard` if (and only if) its
   /// summary changed since the last publish. Called from the shard's own
@@ -692,7 +659,9 @@ class ShardedDriver {
       std::lock_guard<std::mutex> slock(shard.snapshot_mu);
       if (shard.snapshot_batches >= batches) return;  // already current
     }
-    Summary copy = CopyOf(shard.summary);
+    // A deep copy (copy constructor, or AnySummary's Clone) is structurally
+    // identical, so merging the snapshot behaves as merging the original.
+    Summary copy = SummaryDeepCopy(shard.summary);
     std::lock_guard<std::mutex> slock(shard.snapshot_mu);
     shard.snapshot = std::make_shared<const Summary>(std::move(copy));
     ++shard.snapshot_epoch;
@@ -772,8 +741,8 @@ class ShardedDriver {
   std::mutex nudge_mu_;
   std::vector<uint64_t> last_seen_batches_;  // per-shard, for idle detection
   std::chrono::steady_clock::time_point last_nudge_{};
-  // Set (permanently) by the first SnapshotSummary/SnapshotQuery; gates the
-  // ingest threads' interval publication.
+  // Set (permanently) by the first snapshot-mode query; gates the ingest
+  // threads' interval publication.
   std::atomic<bool> snapshots_armed_{false};
 };
 

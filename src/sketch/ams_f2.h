@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "src/common/bit_util.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/hash/row_hasher.h"
@@ -153,20 +152,6 @@ class AmsF2Sketch {
       return;
     }
     InsertDense(ph, weight);
-  }
-
-  /// \brief Warms the cache lines a subsequent Insert(ph, w) will touch.
-  /// Purely advisory — never changes any state or result — so the columnar
-  /// ingest path can issue it a few items ahead of the update loop.
-  void PrefetchInsert(const RowHashSet::PreHashed& ph) const {
-    if (!counters_.has_value()) {
-      if (!sparse_.empty()) CASTREAM_PREFETCH(sparse_.data());
-      return;
-    }
-    const uint32_t covered = std::min<uint32_t>(ph.depth, counters_->depth());
-    for (uint32_t d = 0; d < covered; ++d) {
-      CASTREAM_PREFETCH_WRITE(counters_->CellAddr(d, ph.bucket[d]));
-    }
   }
 
   /// \brief Median-of-rows estimate of F2 (exact while sparse). O(depth).

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "src/common/bit_util.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/hash/row_hasher.h"
@@ -117,19 +116,6 @@ class CountSketch {
       return;
     }
     InsertDense(ph, weight);
-  }
-
-  /// \brief Warms the cache lines a subsequent Insert(ph, w) will touch;
-  /// purely advisory (see AmsF2Sketch::PrefetchInsert).
-  void PrefetchInsert(const RowHashSet::PreHashed& ph) const {
-    if (!counters_.has_value()) {
-      if (!sparse_.empty()) CASTREAM_PREFETCH(sparse_.data());
-      return;
-    }
-    const uint32_t covered = std::min<uint32_t>(ph.depth, counters_->depth());
-    for (uint32_t d = 0; d < covered; ++d) {
-      CASTREAM_PREFETCH_WRITE(counters_->CellAddr(d, ph.bucket[d]));
-    }
   }
 
   /// \brief Estimate of item x's frequency (exact while sparse).

@@ -31,12 +31,6 @@ class CounterMatrix {
     return old;
   }
 
-  /// \brief Address of one cell, for software prefetch ahead of an update
-  /// loop; never dereferenced by the caller.
-  const int64_t* CellAddr(uint32_t row, uint32_t col) const {
-    return &cells_[static_cast<size_t>(row) * width_ + col];
-  }
-
   /// \brief Cell-wise addition; dimensions must match (checked by caller).
   void AddFrom(const CounterMatrix& other) {
     for (size_t i = 0; i < cells_.size(); ++i) cells_[i] += other.cells_[i];

@@ -1,12 +1,18 @@
 // InsertBatch is documented as *exactly* equivalent to one-at-a-time
 // insertion in batch order — not "approximately as accurate": the batched
-// path pre-hashes and routes level-major, but must reproduce every split,
-// close, and discard decision bit-for-bit. These tests feed one permuted
-// stream to a sequential summary and to a batched twin (uneven batch sizes,
-// including empty and singleton batches) and require identical structure and
-// identical query answers across a cutoff ladder, for every summary type.
+// path pre-hashes and routes level-major, skipping in O(1) every level whose
+// threshold rules out the whole batch, but must reproduce every split,
+// close, and discard decision bit-for-bit. These tests feed one stream to a
+// sequential summary and to a batched twin (uneven batch sizes, including
+// empty and singleton batches) and require identical structure, identical
+// query answers across a cutoff ladder and, for every kind with a wire
+// format, byte-identical Serialize() blobs. The streams cover permuted
+// uniform y, Zipf duplicate-heavy rows, weighted rows, and ascending
+// (time-skew) y — the shape that keeps whole batches above a level's
+// threshold and materializes levels out of the virtual pool mid-batch.
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,8 +51,8 @@ std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
 // Zipf(1.1)-ordered, duplicate-heavy stream: x drawn Zipfian so a handful
 // of identifiers dominate, y quantized to `y_card` distinct values so whole
 // (x, y) pairs repeat, plus occasional bursts of back-to-back identical
-// tuples. This is the trace shape the columnar router's threshold gates and
-// sorted-run pruning see in production, and the worst case for any batching
+// tuples. This is the trace shape the columnar router's per-level
+// threshold checks see in production, and the worst case for any batching
 // bug that depends on rows being distinct.
 std::vector<Tuple> MakeZipfStream(size_t n, uint64_t x_domain, uint64_t y_max,
                                   uint64_t y_card, uint64_t seed) {
@@ -67,16 +73,34 @@ std::vector<Tuple> MakeZipfStream(size_t n, uint64_t x_domain, uint64_t y_max,
   return stream;
 }
 
-// Weighted turnstile-ish stream on the same duplicate-heavy shape; weights
-// in {0..5} (zero-weight rows are documented no-ops on every weighted path
-// and must stay no-ops under batching).
-std::vector<WeightedTuple> MakeWeightedStream(size_t n, uint64_t x_domain,
-                                              uint64_t y_max, uint64_t y_card,
-                                              uint64_t seed) {
+// Time-skew stream: y is the (jittered) arrival position, so y ascends
+// through the domain — the paper's y-as-timestamp reading. x is skewed as
+// in MakeStream so heavy hitters exist. Once a level overflows its budget
+// its threshold sits behind the y frontier, so every later batch lies
+// wholly at or above it.
+std::vector<Tuple> MakeTimeSkewStream(size_t n, uint64_t x_domain,
+                                      uint64_t y_max, uint64_t seed) {
   Xoshiro256 rng = TestRng(seed);
-  const auto base = MakeZipfStream(n, x_domain, y_max, y_card, seed + 1);
-  std::vector<WeightedTuple> stream;
+  const uint64_t jitter = y_max / 256;
+  std::vector<Tuple> stream;
   stream.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = (rng.NextBounded(4) == 0)
+                           ? rng.NextBounded(8)
+                           : 100 + rng.NextBounded(x_domain);
+    const uint64_t base = (y_max - jitter) * i / (n - 1);
+    stream.push_back(Tuple{x, base + rng.NextBounded(jitter + 1)});
+  }
+  return stream;
+}
+
+// The base stream with weights in {0..5} (zero-weight rows are documented
+// no-ops on every weighted path and must stay no-ops under batching).
+std::vector<WeightedTuple> WithWeights(const std::vector<Tuple>& base,
+                                       uint64_t seed) {
+  Xoshiro256 rng = TestRng(seed);
+  std::vector<WeightedTuple> stream;
+  stream.reserve(base.size());
   for (const Tuple& t : base) {
     stream.push_back(
         WeightedTuple{t.x, t.y, static_cast<int64_t>(rng.NextBounded(6))});
@@ -84,21 +108,66 @@ std::vector<WeightedTuple> MakeWeightedStream(size_t n, uint64_t x_domain,
   return stream;
 }
 
+// Weighted turnstile-ish stream on the Zipf duplicate-heavy shape.
+std::vector<WeightedTuple> MakeWeightedStream(size_t n, uint64_t x_domain,
+                                              uint64_t y_max, uint64_t y_card,
+                                              uint64_t seed) {
+  return WithWeights(MakeZipfStream(n, x_domain, y_max, y_card, seed + 1),
+                     seed);
+}
+
+struct NoBatchHook {
+  template <typename Batch>
+  void operator()(Batch) const {}
+};
+
 // Feeds the stream through InsertBatch with deliberately uneven batch sizes
 // (empty batches included) to exercise every chunk boundary. Works for both
-// Tuple and WeightedTuple streams.
-template <typename S, typename T>
-void FeedBatched(S& sketch, const std::vector<T>& stream) {
+// Tuple and WeightedTuple streams. `before_batch` sees each batch just
+// before it is inserted.
+template <typename S, typename T, typename Hook = NoBatchHook>
+void FeedBatched(S& sketch, const std::vector<T>& stream,
+                 Hook before_batch = {}) {
   static constexpr size_t kSizes[] = {1, 3, 0, 64, 257, 8, 1024, 5};
   size_t pos = 0;
   size_t turn = 0;
   while (pos < stream.size()) {
     const size_t want = kSizes[turn++ % std::size(kSizes)];
     const size_t take = std::min(want, stream.size() - pos);
-    sketch.InsertBatch(std::span<const T>(stream.data() + pos, take));
+    const std::span<const T> batch(stream.data() + pos, take);
+    before_batch(batch);
+    sketch.InsertBatch(batch);
     pos += take;
   }
 }
+
+// Counts how often a batched feed reaches the two routing paths that only
+// y-ordered streams exercise: a level whose threshold is at or below a
+// whole batch's smallest y (skipped in O(1)), and a level leaving the
+// virtual pool inside a multi-row batch (its tree resumes mid-batch).
+// Call Note(sketch, batch) before each batch.
+struct RouterCoverage {
+  size_t skipped_levels = 0;
+  size_t mid_batch_materializations = 0;
+  uint32_t virtual_before_last = 0;
+  size_t last_batch_size = 0;
+
+  template <typename S, typename T>
+  void Note(const S& sketch, std::span<const T> batch) {
+    const uint32_t virtual_now = sketch.VirtualRootLevels();
+    if (last_batch_size >= 2 && virtual_now < virtual_before_last) {
+      ++mid_batch_materializations;
+    }
+    virtual_before_last = virtual_now;
+    last_batch_size = batch.size();
+    if (batch.empty()) return;
+    uint64_t y_min = UINT64_MAX;
+    for (const T& t : batch) y_min = std::min(y_min, t.y);
+    for (uint32_t l = 0; l <= sketch.max_level(); ++l) {
+      if (sketch.LevelThreshold(l) <= y_min) ++skipped_levels;
+    }
+  }
+};
 
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
@@ -108,9 +177,25 @@ std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   return cutoffs;
 }
 
+// Byte-equal wire blobs pin every piece of state — thresholds, tree
+// topology, free lists, every bucket's counters — not only what the cutoff
+// ladder reads. Kinds without a wire format (exact and Fk buckets) skip it.
+template <typename S>
+void ExpectIdenticalBlobs(const S& sequential, const S& batched) {
+  if constexpr (requires(std::string* out) { sequential.Serialize(out); }) {
+    std::string a;
+    std::string b;
+    ASSERT_TRUE(sequential.Serialize(&a).ok());
+    ASSERT_TRUE(batched.Serialize(&b).ok());
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_TRUE(a == b) << "serialized blobs differ";
+  }
+}
+
 template <typename S>
 void ExpectIdenticalScalarQueries(const S& sequential, const S& batched,
                                   uint64_t y_max) {
+  ExpectIdenticalBlobs(sequential, batched);
   for (uint64_t c : CutoffLadder(y_max, 77)) {
     const Result<double> ra = sequential.Query(c);
     const Result<double> rb = batched.Query(c);
@@ -223,6 +308,7 @@ TEST(InsertBatchEquivalenceTest, CorrelatedRaritySketch) {
 void ExpectIdenticalHeavyHitterQueries(const CorrelatedF2HeavyHitters& a,
                                        const CorrelatedF2HeavyHitters& b,
                                        uint64_t y_max, uint64_t ladder_seed) {
+  ExpectIdenticalBlobs(a, b);
   ASSERT_TRUE(a.ValidateInvariants().ok());
   ASSERT_TRUE(b.ValidateInvariants().ok());
   for (uint64_t c : CutoffLadder(y_max, ladder_seed)) {
@@ -262,8 +348,8 @@ TEST(InsertBatchEquivalenceTest, CorrelatedF2HeavyHitters) {
 // ---------------------------------------------------------------------------
 // Zipf(1.1)-ordered, duplicate-heavy streams. Repeated (x, y) pairs keep the
 // same rows landing in the same buckets, which is exactly where the columnar
-// router's per-level threshold gates and sorted candidate runs could diverge
-// from sequential order if the pruning were approximate.
+// router's per-level threshold checks could diverge from sequential order if
+// they were approximate.
 // ---------------------------------------------------------------------------
 
 TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF2AmsSketch) {
@@ -380,6 +466,71 @@ TEST(InsertBatchEquivalenceTest, WeightedBatchesF2HeavyHitters) {
   for (const WeightedTuple& t : stream) sequential.Insert(t.x, t.y, t.weight);
   FeedBatched(batched, stream);
   ExpectIdenticalHeavyHitterQueries(sequential, batched, opts.y_max, 80);
+}
+
+// ---------------------------------------------------------------------------
+// Time-skew (ascending y) streams, unit and weighted. Discards leave level
+// thresholds behind the y frontier, so later batches skip those levels in
+// O(1); levels also leave the virtual pool mid-batch and resume their own
+// trees from the next row. RouterCoverage proves the feed reaches both.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void ExpectTimeSkewF2Equivalence(const std::vector<T>& stream,
+                                 uint64_t seed) {
+  const auto opts = FrameworkOptions();
+  auto sequential = MakeCorrelatedF2(opts, seed);
+  auto batched = MakeCorrelatedF2(opts, seed);
+  for (const T& t : stream) {
+    if constexpr (std::same_as<T, WeightedTuple>) {
+      sequential.Insert(t.x, t.y, t.weight);
+    } else {
+      sequential.Insert(t.x, t.y);
+    }
+  }
+  RouterCoverage coverage;
+  FeedBatched(batched, stream, [&](std::span<const T> batch) {
+    coverage.Note(batched, batch);
+  });
+  EXPECT_GT(coverage.skipped_levels, 0u);
+  EXPECT_GT(coverage.mid_batch_materializations, 0u);
+  ExpectIdenticalStructure(sequential, batched);
+  ExpectIdenticalScalarQueries(sequential, batched, opts.y_max);
+}
+
+TEST(InsertBatchEquivalenceTest, TimeSkewF2AmsSketch) {
+  ExpectTimeSkewF2Equivalence(
+      MakeTimeSkewStream(30000, 600, FrameworkOptions().y_max, 30), 61);
+}
+
+TEST(InsertBatchEquivalenceTest, TimeSkewWeightedF2AmsSketch) {
+  ExpectTimeSkewF2Equivalence(
+      WithWeights(MakeTimeSkewStream(30000, 600, FrameworkOptions().y_max, 31),
+                  32),
+      62);
+}
+
+TEST(InsertBatchEquivalenceTest, TimeSkewF2HeavyHitters) {
+  auto opts = FrameworkOptions();
+  opts.f_max_hint = 1e8;
+  CorrelatedF2HeavyHitters sequential(opts, 0.05, 63);
+  CorrelatedF2HeavyHitters batched(opts, 0.05, 63);
+  const auto stream = MakeTimeSkewStream(20000, 500, opts.y_max, 33);
+  for (const Tuple& t : stream) sequential.Insert(t.x, t.y);
+  FeedBatched(batched, stream);
+  ExpectIdenticalHeavyHitterQueries(sequential, batched, opts.y_max, 81);
+}
+
+TEST(InsertBatchEquivalenceTest, TimeSkewWeightedF2HeavyHitters) {
+  auto opts = FrameworkOptions();
+  opts.f_max_hint = 1e8;
+  CorrelatedF2HeavyHitters sequential(opts, 0.05, 64);
+  CorrelatedF2HeavyHitters batched(opts, 0.05, 64);
+  const auto stream =
+      WithWeights(MakeTimeSkewStream(20000, 500, opts.y_max, 34), 35);
+  for (const WeightedTuple& t : stream) sequential.Insert(t.x, t.y, t.weight);
+  FeedBatched(batched, stream);
+  ExpectIdenticalHeavyHitterQueries(sequential, batched, opts.y_max, 82);
 }
 
 TEST(InsertBatchEquivalenceTest, WeightedMultiplicityEqualsRepeatedInserts) {

@@ -1,8 +1,10 @@
-// Regression (ISSUE 4 satellite): querying a ShardedDriver that has never
-// ingested a tuple must return the defined zero-stream answer — exactly what
-// a freshly built summary of the same configuration answers — instead of
-// relying on the edge behavior of merging S empty shards into a fresh
-// scratch summary.
+// Edge cases of ShardedDriver construction and its empty state:
+//   * querying a driver that has never ingested a tuple must return the
+//     defined zero-stream answer — exactly what a freshly built summary of
+//     the same configuration answers — instead of relying on the edge
+//     behavior of merging S empty shards into a fresh scratch summary;
+//   * a zero in any count option aborts the constructor loudly instead of
+//     being silently clamped to 1.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -36,21 +38,21 @@ TEST(ShardedEmptyDriverTest, F2EmptyDriverAnswersLikeFreshSummary) {
     const auto driver_q = driver.Query(c);
     ASSERT_EQ(fresh_q.ok(), driver_q.ok()) << "c=" << c;
     ASSERT_TRUE(driver_q.ok()) << "c=" << c;
-    EXPECT_EQ(driver_q.value(), 0.0) << "c=" << c;
-    EXPECT_EQ(driver_q.value(), fresh_q.value()) << "c=" << c;
+    EXPECT_EQ(driver_q.value().estimate, 0.0) << "c=" << c;
+    EXPECT_EQ(driver_q.value().estimate, fresh_q.value()) << "c=" << c;
   }
   // The snapshot is a fresh summary, not a merge artifact.
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().tuples_inserted(), 0u);
-  EXPECT_EQ(merged.value().VirtualRootLevels(), fresh.VirtualRootLevels());
+  EXPECT_EQ(merged.value()->tuples_inserted(), 0u);
+  EXPECT_EQ(merged.value()->VirtualRootLevels(), fresh.VirtualRootLevels());
 
   // And ingest after the empty query still works normally.
   driver.Insert(3, 4);
   driver.Flush();
   auto after = driver.Query(opts.y_max);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value(), 1.0);  // single item, exact while sparse
+  EXPECT_EQ(after.value().estimate, 1.0);  // single item, exact while sparse
 }
 
 TEST(ShardedEmptyDriverTest, F0EmptyDriverAnswersLikeFreshSummary) {
@@ -70,7 +72,7 @@ TEST(ShardedEmptyDriverTest, F0EmptyDriverAnswersLikeFreshSummary) {
     const auto driver_q = driver.Query(c);
     ASSERT_EQ(fresh_q.ok(), driver_q.ok()) << "c=" << c;
     ASSERT_TRUE(driver_q.ok()) << "c=" << c;
-    EXPECT_EQ(driver_q.value(), 0.0) << "c=" << c;
+    EXPECT_EQ(driver_q.value().estimate, 0.0) << "c=" << c;
   }
 }
 
@@ -93,9 +95,69 @@ TEST(ShardedEmptyDriverTest, AnySummaryEmptyDriverEveryKind) {
     const auto driver_q = driver.Query(500);
     ASSERT_EQ(fresh_q.ok(), driver_q.ok()) << name;
     if (fresh_q.ok()) {
-      EXPECT_EQ(fresh_q.value(), driver_q.value()) << name;
+      EXPECT_EQ(fresh_q.value(), driver_q.value().estimate) << name;
     }
   }
+}
+
+// Death tests fork; under ThreadSanitizer the forked child inherits the
+// runtime in a state TSan does not support, producing spurious failures.
+// Option validation runs before any ingest thread starts, so the ASan/UBSan
+// and plain jobs give it full coverage.
+#if defined(__SANITIZE_THREAD__)
+#define CASTREAM_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CASTREAM_TSAN 1
+#endif
+#endif
+
+void ConstructF0Driver(const ShardedDriverOptions& dopts) {
+  CorrelatedF0Options opts;
+  opts.x_domain = 1023;
+  ShardedDriver<CorrelatedF0Sketch> driver(
+      dopts, [&] { return CorrelatedF0Sketch(opts, /*seed=*/7); });
+}
+
+TEST(ShardedDriverDeathTest, ZeroShardsAbortsLoudly) {
+#if defined(CASTREAM_TSAN)
+  GTEST_SKIP() << "death tests are unreliable under TSan";
+#else
+  ShardedDriverOptions dopts;
+  dopts.shards = 0;
+  EXPECT_DEATH(ConstructF0Driver(dopts), "shards must be >= 1");
+#endif
+}
+
+TEST(ShardedDriverDeathTest, ZeroBatchSizeAbortsLoudly) {
+#if defined(CASTREAM_TSAN)
+  GTEST_SKIP() << "death tests are unreliable under TSan";
+#else
+  ShardedDriverOptions dopts;
+  dopts.batch_size = 0;
+  EXPECT_DEATH(ConstructF0Driver(dopts), "batch_size must be >= 1");
+#endif
+}
+
+TEST(ShardedDriverDeathTest, ZeroQueueCapacityAbortsLoudly) {
+#if defined(CASTREAM_TSAN)
+  GTEST_SKIP() << "death tests are unreliable under TSan";
+#else
+  ShardedDriverOptions dopts;
+  dopts.queue_capacity = 0;
+  EXPECT_DEATH(ConstructF0Driver(dopts), "queue_capacity must be >= 1");
+#endif
+}
+
+TEST(ShardedDriverDeathTest, ZeroSnapshotIntervalAbortsLoudly) {
+#if defined(CASTREAM_TSAN)
+  GTEST_SKIP() << "death tests are unreliable under TSan";
+#else
+  ShardedDriverOptions dopts;
+  dopts.snapshot_interval_batches = 0;
+  EXPECT_DEATH(ConstructF0Driver(dopts),
+               "snapshot_interval_batches must be >= 1");
+#endif
 }
 
 }  // namespace

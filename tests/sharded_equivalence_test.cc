@@ -73,9 +73,9 @@ void FeedDriver(ShardedDriver<Summary>& driver,
 
 /// \brief The driver-side answer this suite compares: a blocking summarize
 /// under the linear policy — the path documented bit-for-bit equal to the
-/// serial shard-order merge — returned by value like MergedSummary.
+/// serial shard-order merge — deep-copied out of the shared result.
 template <typename Summary>
-Result<Summary> LinearMergedSummary(ShardedDriver<Summary>& driver) {
+Result<Summary> LinearMerge(ShardedDriver<Summary>& driver) {
   auto merged = driver.Summarize(QueryOptions{
       .mode = QueryMode::kBlocking, .policy = MergePolicy::kLinear});
   if (!merged.ok()) return merged.status();
@@ -136,7 +136,7 @@ TEST(ShardedEquivalenceTest, F2DriverMatchesMergeOracle) {
   dopts.batch_size = 256;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = LinearMerge(driver);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
@@ -160,7 +160,7 @@ TEST(ShardedEquivalenceTest, SingleShardDriverMatchesUnshardedSummary) {
   dopts.shards = 1;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = LinearMerge(driver);
   ASSERT_TRUE(merged.ok());
   ExpectIdenticalScalarQueries(unsharded, merged.value(), opts.y_max);
 }
@@ -178,7 +178,7 @@ TEST(ShardedEquivalenceTest, F0DriverMatchesMergeOracle) {
   dopts.shards = 4;
   ShardedDriver<CorrelatedF0Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = LinearMerge(driver);
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
@@ -201,7 +201,7 @@ TEST(ShardedEquivalenceTest, RarityDriverMatchesMergeOracle) {
   dopts.batch_size = 100;
   ShardedDriver<CorrelatedRaritySketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = LinearMerge(driver);
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
@@ -218,7 +218,7 @@ TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
   dopts.shards = 4;
   ShardedDriver<CorrelatedF2HeavyHitters> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = LinearMerge(driver);
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
@@ -258,7 +258,7 @@ void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   dopts.shards = 4;
   ShardedDriver<Chh> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = LinearMerge(driver);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
@@ -296,7 +296,7 @@ TEST(ShardedEquivalenceTest, FastChhDriverMatchesMergeOracle) {
 }
 
 TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
-  // MergedSummary must leave the shards intact: query, keep ingesting, and
+  // Summarize must leave the shards intact: query, keep ingesting, and
   // query again — the second answer covers the whole stream so far.
   const auto opts = FrameworkOptions();
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/47);
@@ -310,11 +310,11 @@ TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   const size_t half = stream.size() / 2;
   driver.InsertBatch(std::span<const Tuple>(stream.data(), half));
-  auto first = LinearMergedSummary(driver);
+  auto first = LinearMerge(driver);
   ASSERT_TRUE(first.ok());
   driver.InsertBatch(
       std::span<const Tuple>(stream.data() + half, stream.size() - half));
-  auto second = LinearMergedSummary(driver);
+  auto second = LinearMerge(driver);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 

@@ -9,7 +9,7 @@
 //     stale-epoch and double-merge bugs — including the S=1 and
 //     empty-driver edges.
 //   * The work is really skipped, observable via the driver's shard-merge
-//     counter: a repeated blocking Query (or MergedSummary) with no
+//     counter: a repeated blocking Query (or Summarize) with no
 //     intervening ingest performs zero shard merges under either policy;
 //     under kTree, ingest confined to one shard re-merges only that
 //     leaf's root path (log2 S nodes, wherever the shard sits); under
@@ -137,13 +137,13 @@ TEST(SnapshotIncrementalMergeTest, BackToBackBlockingQueryPerformsZeroMerges) {
   EXPECT_GT(merges_after_first, 0u);
 
   // No ingest since the last query: the epoch-keyed cache must answer and
-  // the merge counter must not move — for Query and for MergedSummary.
+  // the merge counter must not move — for Query and for Summarize.
   const auto second = driver.Query(opts.y_max / 2);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), first.value());
+  EXPECT_EQ(second.value().estimate, first.value().estimate);
   EXPECT_EQ(driver.shard_merges_performed(), merges_after_first);
 
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.shard_merges_performed(), merges_after_first);
 
